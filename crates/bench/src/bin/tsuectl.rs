@@ -29,14 +29,13 @@ use tsue_sim::{Sim, MILLISECOND};
 
 const HELP: &str = "tsuectl — run TSUE cluster simulations\n\n\
 subcommands:\n\
-  run <scenario.json> [--out DIR] [--threads N] [--trace-out FILE]\n\
+  run <scenario.json> [--out DIR] [--trace-out FILE]\n\
                                           execute a scenario file; --trace-out dumps the\n\
                                           op-lifecycle spans as Chrome trace_event JSON\n\
                                           (open in Perfetto / chrome://tracing)\n\
-  bench [--quick] [--out FILE] [--threads N]\n\
+  bench [--quick] [--out FILE]\n\
                                           zero-copy perf-regression report\n\
                                           (micro kernels + cluster runs + integrity/scrub/obs rows;\n\
-                                          --threads N adds a wall-clock scaling ladder;\n\
                                           default output BENCH_08.json)\n\
   trace-check <trace.json> [--result FILE]\n\
                                           validate a --trace-out dump: parses the JSON and\n\
@@ -61,8 +60,6 @@ ad-hoc flags (assembled into a scenario spec):\n\
   --file-mb N                             per-client file size (default 12)\n\
   --seed N                                workload seed (default 42)\n\
   --flush                                 drain logs and include recycle I/O\n\
-  --threads N                             worker-pool width (execution knob; results are\n\
-                                          bit-identical at any value, default 1)\n\
   --out DIR                               where to persist {spec, result} (default results)\n\
   --print-spec                            print the scenario JSON and exit";
 
@@ -143,7 +140,6 @@ fn lint(rest: &[String]) {
 fn bench(rest: &[String]) {
     let mut quick = false;
     let mut out = String::from("BENCH_08.json");
-    let mut threads = 1usize;
     let mut i = 0;
     while i < rest.len() {
         match rest[i].as_str() {
@@ -154,13 +150,6 @@ fn bench(rest: &[String]) {
                     .get(i)
                     .cloned()
                     .unwrap_or_else(|| fail("missing value after --out"));
-            }
-            "--threads" => {
-                i += 1;
-                threads = rest
-                    .get(i)
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| fail("missing or invalid value after --threads"));
             }
             other => fail(&format!("unknown flag '{other}' after 'bench'")),
         }
@@ -173,7 +162,7 @@ fn bench(rest: &[String]) {
         .and_then(|s| s.to_str())
         .unwrap_or("BENCH")
         .to_string();
-    let report = tsue_bench::bench_report(&bench_id, quick, threads);
+    let report = tsue_bench::bench_report(&bench_id, quick);
     print!("{}", tsue_bench::render_bench(&report));
     let json = serde_json::to_string_pretty(&report).expect("report serializes");
     match std::fs::write(&out, json + "\n") {
@@ -195,7 +184,6 @@ fn list() {
 fn run_file(rest: &[String]) {
     let mut path: Option<String> = None;
     let mut out = String::from("results");
-    let mut threads = 1usize;
     let mut trace_out: Option<String> = None;
     let mut i = 0;
     while i < rest.len() {
@@ -206,13 +194,6 @@ fn run_file(rest: &[String]) {
                     .get(i)
                     .cloned()
                     .unwrap_or_else(|| fail("missing value after --out"));
-            }
-            "--threads" => {
-                i += 1;
-                threads = rest
-                    .get(i)
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| fail("missing or invalid value after --threads"));
             }
             "--trace-out" => {
                 i += 1;
@@ -229,22 +210,21 @@ fn run_file(rest: &[String]) {
         i += 1;
     }
     let path = path.unwrap_or_else(|| {
-        fail("usage: tsuectl run <scenario.json> [--out DIR] [--threads N] [--trace-out FILE]")
+        fail("usage: tsuectl run <scenario.json> [--out DIR] [--trace-out FILE]")
     });
     let text = std::fs::read_to_string(&path)
         .unwrap_or_else(|e| fail(&format!("cannot read '{path}': {e}")));
     let spec: ScenarioSpec = serde_json::from_str(&text)
         .unwrap_or_else(|e| fail(&format!("cannot parse '{path}': {e}")));
-    execute(spec, &out, threads, trace_out.as_deref());
+    execute(spec, &out, trace_out.as_deref());
 }
 
 /// Runs a validated spec, prints the summary, persists `{spec, result}`.
-/// `threads` and `trace_out` are execution knobs only — the persisted
-/// `{spec, result}` is byte-identical at any value of either.
-fn execute(spec: ScenarioSpec, out: &str, threads: usize, trace_out: Option<&str>) {
-    let (result, trace) =
-        run_scenario_traced(&spec, &default_registry(), threads, trace_out.is_some())
-            .unwrap_or_else(|e| fail(&e));
+/// `trace_out` is an execution knob only — the persisted `{spec, result}`
+/// is byte-identical with or without it.
+fn execute(spec: ScenarioSpec, out: &str, trace_out: Option<&str>) {
+    let (result, trace) = run_scenario_traced(&spec, &default_registry(), trace_out.is_some())
+        .unwrap_or_else(|e| fail(&e));
     print_result(&spec, &result);
     if let Some(path) = trace_out {
         let json = trace.expect("tracing was enabled");
@@ -359,7 +339,6 @@ fn adhoc(args: &[String]) {
     let mut csv: Option<String> = None;
     let mut out = String::from("results");
     let mut print_spec = false;
-    let mut threads = 1usize;
     let mut i = 0;
     let next = |i: &mut usize| -> String {
         *i += 1;
@@ -424,7 +403,6 @@ fn adhoc(args: &[String]) {
             }
             "--trace-csv" => csv = Some(next(&mut i)),
             "--flush" => spec.flush_after = Some(true),
-            "--threads" => threads = parse_num("--threads", next(&mut i)) as usize,
             "--out" => out = next(&mut i),
             "--print-spec" => print_spec = true,
             other => fail(&format!("unknown flag '{other}'")),
@@ -450,7 +428,7 @@ fn adhoc(args: &[String]) {
         replay_csv(&spec, &path);
         return;
     }
-    execute(spec, &out, threads, None);
+    execute(spec, &out, None);
 }
 
 /// Replay path: build the scenario's cluster, then install the recorded

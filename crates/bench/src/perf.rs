@@ -7,14 +7,13 @@
 //! `combined_parity_delta`, `encode`) — the pre-refactor small-write path,
 //! which the crate keeps precisely so the comparison cannot rot.
 //!
-//! Schema (`schema: "tsue-bench/v5"`):
+//! Schema (`schema: "tsue-bench/v6"`):
 //!
 //! * `micro` — kernel rows: ops/sec for baseline vs zero-copy, speedup,
 //!   and per-op allocation/copy traffic for both paths.
 //! * `cluster` — materialized end-to-end runs (fig5/table1 shapes at
 //!   bench scale): IOPS, mean latency, payload copies/op, bytes copied
 //!   per op, buffer-pool hit rate.
-//! * `scaling` — host wall clock across the `--threads` ladder (v2).
 //! * `integrity` — checksum on/off wall-clock pairs for the same run:
 //!   the hot-path digest tax, target < 5% (v3).
 //! * `scrub` — full-sweep verification throughput in MB per host
@@ -32,6 +31,9 @@
 //! * `hist_record_ns` — the latency-histogram record cost, ns/op — the
 //!   per-completion tax the always-on histograms add to the small-write
 //!   path (v5).
+//!
+//! v6 drops the v2 `scaling` rows and `host_cores`: the cluster runs on
+//! one host thread.
 
 use crate::{default_registry, ScenarioSpec, SchemeSpec, TraceKind};
 use serde::{Deserialize, Serialize};
@@ -82,26 +84,6 @@ pub struct ClusterRow {
     pub pool_hit_rate: f64,
     /// Pool misses (fresh allocations) per completed op.
     pub allocs_per_op: f64,
-}
-
-/// One thread-scaling row: the same materialized, flush-drained cluster
-/// run at a given worker-pool width. Virtual-time metrics (IOPS,
-/// latency) are bit-identical across rows — only the host wall clock
-/// moves, which is the whole point.
-#[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct ScalingRow {
-    /// Scenario name.
-    pub scenario: String,
-    /// Worker-pool width (`--threads`).
-    pub threads: usize,
-    /// Host wall-clock for the whole run, milliseconds.
-    pub wall_ms: f64,
-    /// Completed client ops.
-    pub ops: u64,
-    /// Completed ops per wall-clock second.
-    pub ops_per_wall_sec: f64,
-    /// `wall_ms(threads=1) / wall_ms(this row)`.
-    pub speedup: f64,
 }
 
 /// One checksum-overhead row: the same materialized run with the
@@ -188,16 +170,10 @@ pub struct BenchReport {
     pub bench_id: String,
     /// `--quick` runs trim windows and the scheme lineup.
     pub quick: bool,
-    /// Physical cores on the host that produced the stake — scaling
-    /// rows are only meaningful relative to this.
-    pub host_cores: usize,
     /// Kernel comparisons.
     pub micro: Vec<MicroRow>,
     /// End-to-end materialized runs.
     pub cluster: Vec<ClusterRow>,
-    /// Wall-clock thread-scaling ladder (empty when `--threads` ≤ 1;
-    /// absent from pre-v2 stakes).
-    pub scaling: Vec<ScalingRow>,
     /// Checksum hot-path overhead rows (absent from pre-v3 stakes).
     pub integrity: Vec<IntegrityRow>,
     /// Scrub-throughput rows (absent from pre-v3 stakes).
@@ -564,46 +540,6 @@ fn cluster_row(mut spec: ScenarioSpec, quick: bool) -> ClusterRow {
     }
 }
 
-/// Runs the scaling scenario once at `threads` pool workers and times
-/// the host wall clock. The spec is a flush-drained materialized TSUE
-/// run, so the measured window is dominated by exactly the byte kernels
-/// the pool parallelizes (payload gen, delta capture, Eq. 5 combine,
-/// parity XOR).
-fn scaling_row(quick: bool, threads: usize) -> ScalingRow {
-    let mut spec = ScenarioSpec::ssd(
-        "scale-tsue-flush",
-        TraceKind::Ten,
-        6,
-        4,
-        8,
-        SchemeSpec::tsue(),
-    );
-    spec.duration_ms = Some(if quick { 120 } else { 400 });
-    spec.file_mb = Some(if quick { 4 } else { 8 });
-    spec.flush_after = Some(true);
-    let registry = default_registry();
-    let builder = spec
-        .builder(&registry)
-        .expect("bench scenarios are valid")
-        .materialize(true)
-        .threads(threads);
-    let t0 = Instant::now();
-    let mut world = builder.build();
-    let mut sim: Sim<Cluster> = Sim::new();
-    run_workload(&mut world, &mut sim, spec.duration_ms() * MILLISECOND);
-    world.flush_all(&mut sim);
-    let wall = t0.elapsed().as_secs_f64();
-    let ops = world.core.metrics.ops_completed;
-    ScalingRow {
-        scenario: spec.name.clone(),
-        threads,
-        wall_ms: wall * 1e3,
-        ops,
-        ops_per_wall_sec: ops as f64 / wall.max(1e-9),
-        speedup: 1.0, // filled in once the threads=1 row exists
-    }
-}
-
 /// Builds and runs one materialized TSUE cluster with checksums on or
 /// off, returning `(wall_seconds, ops)`. The DES outcome is identical
 /// either way; only the host cost of maintaining the digest tables
@@ -653,7 +589,7 @@ fn obs_trial(spec: &ScenarioSpec, trace: bool) -> (f64, u64) {
     let registry = default_registry();
     let t0 = Instant::now();
     let (result, _) =
-        crate::run_scenario_traced(spec, &registry, 1, trace).expect("bench scenarios are valid");
+        crate::run_scenario_traced(spec, &registry, trace).expect("bench scenarios are valid");
     (t0.elapsed().as_secs_f64(), result.latency.count)
 }
 
@@ -738,26 +674,12 @@ fn scrub_row(quick: bool) -> ScrubRow {
     }
 }
 
-/// The `--threads N` ladder: powers of two up to `n`, plus `n` itself.
-fn thread_ladder(n: usize) -> Vec<usize> {
-    let n = n.max(1);
-    let mut ladder: Vec<usize> = [1usize, 2, 4, 8, 16]
-        .into_iter()
-        .filter(|&t| t <= n)
-        .collect();
-    if !ladder.contains(&n) {
-        ladder.push(n);
-    }
-    ladder
-}
-
 /// Assembles the full report: the kernel rows plus fig5/table1-shaped
-/// materialized runs (`--quick` trims windows and the scheme lineup),
-/// plus — when `threads > 1` — a wall-clock scaling ladder over the
-/// worker pool. `bench_id` names the stake (derived from the output
+/// materialized runs (`--quick` trims windows and the scheme lineup).
+/// `bench_id` names the stake (derived from the output
 /// filename by `tsuectl bench`, so `--out BENCH_05.json`
 /// self-identifies correctly).
-pub fn bench_report(bench_id: &str, quick: bool, threads: usize) -> BenchReport {
+pub fn bench_report(bench_id: &str, quick: bool) -> BenchReport {
     let floor = if quick {
         Duration::from_millis(40)
     } else {
@@ -802,17 +724,6 @@ pub fn bench_report(bench_id: &str, quick: bool, threads: usize) -> BenchReport 
     t1.flush_after = Some(true);
     cluster.push(cluster_row(t1, quick));
 
-    let mut scaling = Vec::new();
-    if threads > 1 {
-        for t in thread_ladder(threads) {
-            scaling.push(scaling_row(quick, t));
-        }
-        let base = scaling[0].wall_ms;
-        for row in &mut scaling {
-            row.speedup = base / row.wall_ms.max(1e-9);
-        }
-    }
-
     let integrity = vec![
         integrity_row("integrity-ten", TraceKind::Ten, quick),
         integrity_row("integrity-ali", TraceKind::Ali, quick),
@@ -826,15 +737,11 @@ pub fn bench_report(bench_id: &str, quick: bool, threads: usize) -> BenchReport 
     let hist_record_ns = hist_record_cost(floor);
 
     BenchReport {
-        schema: "tsue-bench/v5".into(),
+        schema: "tsue-bench/v6".into(),
         bench_id: bench_id.to_string(),
         quick,
-        host_cores: std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1),
         micro,
         cluster,
-        scaling,
         integrity,
         scrub,
         cpu_features: tsue_gf::cpu_features()
@@ -900,20 +807,6 @@ pub fn render_bench(r: &BenchReport) -> String {
             c.bytes_copied_per_op,
             c.pool_hit_rate * 100.0
         );
-    }
-    if !r.scaling.is_empty() {
-        let _ = writeln!(
-            out,
-            "\nscaling ({} host cores) {:<16} {:>8} {:>10} {:>14} {:>8}",
-            r.host_cores, "scenario", "threads", "wall_ms", "ops/wall_sec", "speedup"
-        );
-        for s in &r.scaling {
-            let _ = writeln!(
-                out,
-                "{:<16} {:>8} {:>10.0} {:>14.0} {:>7.2}x",
-                s.scenario, s.threads, s.wall_ms, s.ops_per_wall_sec, s.speedup
-            );
-        }
     }
     if !r.integrity.is_empty() {
         let _ = writeln!(

@@ -478,29 +478,13 @@ pub fn run_scenario_with(
     spec: &ScenarioSpec,
     registry: &SchemeRegistry,
 ) -> Result<RunResult, String> {
-    run_scenario_threads(spec, registry, 1)
-}
-
-/// [`run_scenario_with`] on `threads` pool workers. The thread count is
-/// an *execution* parameter, not part of the spec: results are
-/// bit-identical at any value (tick-barrier determinism — see
-/// [`tsue_sim::exec`]), which is exactly why it never appears in
-/// [`ScenarioSpec`] or the persisted goldens.
-///
-/// # Errors
-/// Fails on an invalid spec (unknown scheme, bad knobs, geometry).
-pub fn run_scenario_threads(
-    spec: &ScenarioSpec,
-    registry: &SchemeRegistry,
-    threads: usize,
-) -> Result<RunResult, String> {
-    run_scenario_traced(spec, registry, threads, false).map(|(result, _)| result)
+    run_scenario_traced(spec, registry, false).map(|(result, _)| result)
 }
 
 /// Reads per-node/per-rack counters into the obs time series. Strictly
 /// read-only — sampling can never perturb simulated outcomes, so the
-/// cadence (like the thread count) stays an execution-safe knob even
-/// though it lives in the spec for reproducibility of the series shape.
+/// cadence stays an execution-safe knob even though it lives in the
+/// spec for reproducibility of the series shape.
 fn obs_probe(w: &mut Cluster, sim: &mut Sim<Cluster>) {
     let now = sim.now();
     let cadence = w.core.metrics.obs.series.cadence_ms;
@@ -546,10 +530,10 @@ fn obs_probe(w: &mut Cluster, sim: &mut Sim<Cluster>) {
     }
 }
 
-/// [`run_scenario_threads`] with op-lifecycle tracing optionally
-/// enabled. Tracing is an execution knob like the thread count: it
-/// never appears in the spec, only records event times the simulation
-/// already produced, and therefore cannot perturb outcomes. When
+/// [`run_scenario_with`] with op-lifecycle tracing optionally
+/// enabled. Tracing is an execution knob: it never appears in the
+/// spec, only records event times the simulation already produced,
+/// and therefore cannot perturb outcomes. When
 /// `trace` is set, the second element is the Chrome `trace_event` JSON
 /// covering the whole run (workload, recovery, flush, and scrub).
 ///
@@ -558,10 +542,9 @@ fn obs_probe(w: &mut Cluster, sim: &mut Sim<Cluster>) {
 pub fn run_scenario_traced(
     spec: &ScenarioSpec,
     registry: &SchemeRegistry,
-    threads: usize,
     trace: bool,
 ) -> Result<(RunResult, Option<String>), String> {
-    let mut world = spec.builder(registry)?.threads(threads).build();
+    let mut world = spec.builder(registry)?.build();
     if trace {
         world
             .core

@@ -26,12 +26,9 @@
 //! * [`Tsue`] / [`TsueConfig`] — the [`tsue_ecfs::UpdateScheme`]
 //!   implementation with every Fig. 7 ablation switch (O1–O5),
 //! * [`ResidencyStats`] — per-layer append/buffer/recycle residence times
-//!   (Table 2),
-//! * [`live`] — a thread-based concurrent log pool (parking_lot +
-//!   crossbeam) demonstrating the same structure outside the simulator.
+//!   (Table 2).
 
 pub mod knobs;
-pub mod live;
 pub mod logpool;
 pub mod logunit;
 pub mod residency;

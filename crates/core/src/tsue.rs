@@ -577,41 +577,28 @@ impl Tsue {
             collect_jobs_blockid(unit)
         };
         // Apply content now, at seal time, so per-block newest-wins
-        // semantics hold even though the timed I/O below is paced. The
-        // unit's merged ranges are pairwise disjoint, so capture jobs
-        // commute — fan the byte work across the cluster pool when the
-        // unit is big enough to pay for the barrier.
-        let capture = |(block, off, newest): (BlockId, u64, Chunk), store: &tsue_ecfs::Osd| {
-            let delta = match &newest.bytes {
-                Some(new) => {
-                    // One pass over the store: capture new ⊕ old into a
-                    // pooled buffer and install the new content, with
-                    // no intermediate materialization of the old data.
-                    let d = store
-                        .delta_poke_range(block, off, new)
-                        // INVARIANT: jobs carry bytes only in materialized runs, where
-                        // every hosted block has backing data.
-                        .expect("materialized block");
-                    Chunk::real(d)
-                }
-                None => Chunk::ghost(newest.len),
-            };
-            RecycleJob::Data(block, off, delta)
-        };
-        let real_bytes: u64 = jobs
-            .iter()
-            .map(|(_, _, c)| if c.bytes.is_some() { c.len } else { 0 })
-            .sum();
-        let job_queue: VecDeque<RecycleJob> = if core.pool.worth_splitting(jobs.len(), real_bytes) {
-            let store = &core.osds[osd];
-            core.pool
-                .run(jobs, |_, job| capture(job, store))
-                .into_iter()
-                .collect()
-        } else {
-            let store = &core.osds[osd];
-            jobs.into_iter().map(|job| capture(job, store)).collect()
-        };
+        // semantics hold even though the timed I/O below is paced.
+        let store = &mut core.osds[osd];
+        let job_queue: VecDeque<RecycleJob> = jobs
+            .into_iter()
+            .map(|(block, off, newest)| {
+                let delta = match &newest.bytes {
+                    Some(new) => {
+                        // One pass over the store: capture new ⊕ old into a
+                        // pooled buffer and install the new content, with
+                        // no intermediate materialization of the old data.
+                        let d = store
+                            .delta_poke_range(block, off, new)
+                            // INVARIANT: jobs carry bytes only in materialized runs, where
+                            // every hosted block has backing data.
+                            .expect("materialized block");
+                        Chunk::real(d)
+                    }
+                    None => Chunk::ghost(newest.len),
+                };
+                RecycleJob::Data(block, off, delta)
+            })
+            .collect();
         self.inflight.insert(
             uid,
             InflightUnit {
@@ -808,9 +795,8 @@ impl Tsue {
                     .or_default()
                     .push((role, &entry.ranges));
             }
-            // Pass 1 (coordinator): group spans per (stripe, parity)
-            // target and charge the CPU model — workers below need only
-            // `&RsCode`, never the clock or the cost model.
+            // Pass 1: group spans per (stripe, parity) target and charge
+            // the CPU model.
             //
             // Eq. (5): one combined parity delta stream per parity.
             // Same-(offset, length) ranges across roles — the common
@@ -822,7 +808,6 @@ impl Tsue {
             type SpanJob<'a> = (usize, usize, u64, u64, Vec<(usize, &'a [u8])>);
             let mut groups: Vec<(u64, usize, RangeMap)> = Vec::new();
             let mut span_jobs: Vec<SpanJob<'_>> = Vec::new();
-            let mut span_bytes: u64 = 0;
             for (&gstripe, roles) in &grouped {
                 for j in 0..m {
                     let mut combined = RangeMap::new();
@@ -841,29 +826,24 @@ impl Tsue {
                     }
                     let gidx = groups.len();
                     for ((off, len), contribs) in spans {
-                        span_bytes += len;
                         span_jobs.push((gidx, j, off, len, contribs));
                     }
                     groups.push((gstripe, j, combined));
                 }
             }
-            // Pass 2: the fused multiply-accumulate kernels. Each job
-            // fills its own fresh accumulator from read-only borrows, so
-            // the fan-out is bytewise-deterministic at any thread count.
-            let rs = &core.rs;
-            let fill = |(gidx, j, off, len, contribs): SpanJob<'_>| {
-                let mut acc = tsue_buf::BytesMut::take(len as usize);
-                rs.fill_combined_parity_delta(j, &contribs, acc.as_mut());
-                (gidx, off, acc.freeze())
-            };
-            let filled: Vec<(usize, u64, tsue_buf::Bytes)> =
-                if core.pool.worth_splitting(span_jobs.len(), span_bytes) {
-                    core.pool.run(span_jobs, |_, job| fill(job))
-                } else {
-                    span_jobs.into_iter().map(fill).collect()
-                };
-            // Pass 3 (coordinator): fold results back in submission order
-            // and emit sends per (stripe, parity) group.
+            // Pass 2: the fused multiply-accumulate kernels, each filling
+            // its own fresh accumulator.
+            let filled: Vec<(usize, u64, tsue_buf::Bytes)> = span_jobs
+                .into_iter()
+                .map(|(gidx, j, off, len, contribs)| {
+                    let mut acc = tsue_buf::BytesMut::take(len as usize);
+                    core.rs
+                        .fill_combined_parity_delta(j, &contribs, acc.as_mut());
+                    (gidx, off, acc.freeze())
+                })
+                .collect();
+            // Pass 3: fold results back in submission order and emit
+            // sends per (stripe, parity) group.
             for (gidx, off, bytes) in filled {
                 groups[gidx].2.insert_xor(off, Chunk::real(bytes));
             }
@@ -937,32 +917,19 @@ impl Tsue {
             }
             collect_jobs_blockid(unit)
         };
-        let _ = now;
         // Apply parity XOR content now (order-free: XOR commutes), pace the
-        // timed read-modify-writes below. Commutativity is exactly the
-        // tick-barrier determinism condition, so the application fans out
-        // across the worker pool for large units.
-        let apply = |(pblock, off, delta): (BlockId, u64, Chunk), store: &tsue_ecfs::Osd| {
-            if let Some(d) = delta.bytes.as_ref() {
-                // In-place XOR into the store — no peek/poke round trip.
-                store.xor_poke_range(pblock, off, d);
-            }
-            RecycleJob::Parity(pblock, off, delta.len)
-        };
-        let real_bytes: u64 = jobs
-            .iter()
-            .map(|(_, _, c)| if c.bytes.is_some() { c.len } else { 0 })
-            .sum();
-        let job_queue: VecDeque<RecycleJob> = if core.pool.worth_splitting(jobs.len(), real_bytes) {
-            let store = &core.osds[osd];
-            core.pool
-                .run(jobs, |_, job| apply(job, store))
-                .into_iter()
-                .collect()
-        } else {
-            let store = &core.osds[osd];
-            jobs.into_iter().map(|job| apply(job, store)).collect()
-        };
+        // timed read-modify-writes below.
+        let store = &mut core.osds[osd];
+        let job_queue: VecDeque<RecycleJob> = jobs
+            .into_iter()
+            .map(|(pblock, off, delta)| {
+                if let Some(d) = delta.bytes.as_ref() {
+                    // In-place XOR into the store — no peek/poke round trip.
+                    store.xor_poke_range(pblock, off, d);
+                }
+                RecycleJob::Parity(pblock, off, delta.len)
+            })
+            .collect();
         self.inflight.insert(
             uid,
             InflightUnit {

@@ -181,11 +181,10 @@ impl ClusterBuilder {
         self
     }
 
-    /// Worker threads for byte-kernel parallelism. `1` (the default)
-    /// runs everything inline; any value yields bit-identical results
-    /// (see [`tsue_sim::exec`] for the tick-barrier rules).
-    pub fn threads(mut self, n: usize) -> Self {
-        self.cfg.threads = n;
+    /// Has no effect: the cluster always runs on one thread. Kept only
+    /// so out-of-tree drivers that still call `.threads(n)` keep
+    /// building.
+    pub fn threads(self, _n: usize) -> Self {
         self
     }
 

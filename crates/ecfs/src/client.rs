@@ -120,21 +120,6 @@ pub fn client_issue(world: &mut Cluster, sim: &mut Sim<Cluster>, cid: usize) {
     // Span start: the MDS map above is charged zero time by the model.
     core.metrics.obs.op_issued(op_id, client_node, now);
 
-    // Batched payload generation: each extent's payload is a pure
-    // function of `(op_id, ext_idx)`, so a wide multi-extent write fills
-    // all its buffers on the worker pool before the dispatch loop runs.
-    // (A payload pre-generated for an extent that then parks in the
-    // degraded-write journal is simply dropped back into the pool.)
-    let mut pregen: Vec<Option<Chunk>> = Vec::new();
-    if is_write && core.cfg.materialize && core.pool.worth_splitting(extents.len(), op.len) {
-        let lens: Vec<u64> = extents.iter().map(|e| e.len).collect();
-        pregen = core.pool.run(lens, |ext_idx, len| {
-            let mut buf = tsue_buf::BytesMut::take(len as usize);
-            payload_into(op_id, ext_idx, buf.as_mut());
-            Some(Chunk::real(buf.freeze()))
-        });
-    }
-
     for (ext_idx, e) in extents.into_iter().enumerate() {
         let gstripe = core.global_stripe(file, e.addr.stripe);
         let owner = core.owner_of(gstripe, e.addr.block);
@@ -162,9 +147,7 @@ pub fn client_issue(world: &mut Cluster, sim: &mut Sim<Cluster>, cid: usize) {
                 client_node,
             );
         } else if is_write {
-            let data = if let Some(c) = pregen.get_mut(ext_idx).and_then(Option::take) {
-                c
-            } else if core.cfg.materialize {
+            let data = if core.cfg.materialize {
                 // Generate straight into a pool-recycled buffer: the
                 // payload is born zero-copy and travels by refcount from
                 // here to the data log.

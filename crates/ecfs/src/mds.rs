@@ -3,7 +3,7 @@
 //! rehome table filled by online recovery (a rebuilt block's new home
 //! overrides the placement policy until the layout is next rebalanced).
 
-use crate::shard::ShardedMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// File identifier.
 pub type FileId = u32;
@@ -32,19 +32,15 @@ pub struct Mds {
     files: Vec<FileMeta>,
     next_stripe: u64,
     /// Pages that have been written at least once: `(file, page_index)`.
-    /// Sharded by page group so parallel client batches touching
-    /// different stripe groups never contend on one lock.
-    written_pages: ShardedMap<(FileId, u64), ()>,
+    written_pages: BTreeSet<(FileId, u64)>,
     /// Liveness per OSD node.
     alive: Vec<bool>,
     /// Recovery overrides: `(global stripe, role)` → new home OSD.
-    /// Sharded by stripe group: rebuild completions for independent
-    /// stripe groups rehome concurrently.
-    rehomed: ShardedMap<(u64, usize), usize>,
+    rehomed: BTreeMap<(u64, usize), usize>,
     /// Parity blocks known to have missed deltas (the delta NACK-bounced
     /// off a dead owner): `(global stripe, role)`. Cleared when recovery
     /// re-encodes the block or a heal-time re-sync recomputes it.
-    dirty_parity: ShardedMap<(u64, usize), ()>,
+    dirty_parity: BTreeSet<(u64, usize)>,
 }
 
 impl Mds {
@@ -53,10 +49,10 @@ impl Mds {
         Mds {
             files: Vec::new(),
             next_stripe: 0,
-            written_pages: ShardedMap::new(),
+            written_pages: BTreeSet::new(),
             alive: vec![true; osds],
-            rehomed: ShardedMap::new(),
-            dirty_parity: ShardedMap::new(),
+            rehomed: BTreeMap::new(),
+            dirty_parity: BTreeSet::new(),
         }
     }
 
@@ -104,7 +100,7 @@ impl Mds {
     pub fn mark_prepopulated(&mut self, file: FileId) {
         let size = self.file(file).size;
         for p in 0..size.div_ceil(MDS_PAGE) {
-            self.written_pages.insert((file, p), ());
+            self.written_pages.insert((file, p));
         }
     }
 
@@ -117,7 +113,7 @@ impl Mds {
         let last = (offset + len.max(1) - 1) / MDS_PAGE;
         let mut all_old = true;
         for p in first..=last {
-            if self.written_pages.insert((file, p), ()).is_none() {
+            if self.written_pages.insert((file, p)) {
                 all_old = false;
             }
         }
@@ -150,20 +146,10 @@ impl Mds {
         self.rehomed.insert((gstripe, role), node);
     }
 
-    /// Shared-plane [`Mds::rehome`]: takes only the stripe group's
-    /// segment lock, so rebuild workers on disjoint stripe groups
-    /// rehome without serializing on the whole table.
-    pub fn rehome_shared(&self, gstripe: u64, role: usize, node: usize) {
-        self.rehomed.insert_shared((gstripe, role), node);
-    }
-
-    /// The recovery override for `(gstripe, role)`, if any. A single map
-    /// lookup: an empty-map short-circuit would race the staleness that
-    /// reclaim introduces (an entry removed between the emptiness check
-    /// and the read), and the lookup is already free on an empty map.
+    /// The recovery override for `(gstripe, role)`, if any.
     #[inline]
     pub fn rehomed(&self, gstripe: u64, role: usize) -> Option<usize> {
-        self.rehomed.read(&(gstripe, role))
+        self.rehomed.get(&(gstripe, role)).copied()
     }
 
     /// Removes the recovery override for `(gstripe, role)` — the healed
@@ -173,11 +159,6 @@ impl Mds {
         self.rehomed.remove(&(gstripe, role))
     }
 
-    /// Shared-plane [`Mds::reclaim`] for workers holding `&Mds`.
-    pub fn reclaim_shared(&self, gstripe: u64, role: usize) -> Option<usize> {
-        self.rehomed.remove_shared(&(gstripe, role))
-    }
-
     /// Number of rehomed blocks (recovery progress / diagnostics).
     pub fn rehomed_count(&self) -> usize {
         self.rehomed.len()
@@ -185,13 +166,13 @@ impl Mds {
 
     /// All rehome overrides, sorted for deterministic scheduling.
     pub fn rehomed_entries(&self) -> Vec<((u64, usize), usize)> {
-        self.rehomed.entries_sorted()
+        self.rehomed.iter().map(|(&k, &v)| (k, v)).collect()
     }
 
     /// Marks a parity block as having missed a delta (its owner was dead
     /// when the delta arrived, so the update bounced).
     pub fn mark_parity_dirty(&mut self, gstripe: u64, role: usize) {
-        self.dirty_parity.insert((gstripe, role), ());
+        self.dirty_parity.insert((gstripe, role));
     }
 
     /// Clears the missed-delta mark (the block was re-encoded from data).
@@ -201,7 +182,7 @@ impl Mds {
 
     /// Dirty parity blocks, sorted for deterministic scheduling.
     pub fn dirty_parity_entries(&self) -> Vec<(u64, usize)> {
-        self.dirty_parity.keys_sorted()
+        self.dirty_parity.iter().copied().collect()
     }
 
     /// True when `role` of `gstripe` is marked as missing deltas — such

@@ -489,46 +489,16 @@ fn spawn_rebuild(world: &mut Cluster, sim: &mut Sim<Cluster>, block: BlockId, ph
                     shards.push((role, bytes));
                 }
             }
-            // Field-split so workers can read `rs` while the target
-            // block's buffer is borrowed mutably for in-place decode.
-            let ClusterCore { osds, rs, pool, .. } = core;
+            // Field-split: `rs` is read while the target block's buffer
+            // is borrowed mutably for the in-place decode.
+            let ClusterCore { osds, rs, .. } = core;
             if let Some(out) = osds[target].block_data_mut(block) {
-                let parts = pool.threads();
-                if pool.worth_splitting(parts, block_size) {
-                    // Chunk-split the decode: GF reconstruction is
-                    // bytewise, so disjoint output segments decoded from
-                    // the matching survivor segments are bit-identical
-                    // to one full-range pass at any thread count.
-                    let mut segments: Vec<((usize, usize), &mut [u8])> = Vec::new();
-                    let mut rest = out;
-                    let mut start = 0usize;
-                    for (s, e) in tsue_sim::chunk_ranges(block_size as usize, parts) {
-                        let (head, tail) = rest.split_at_mut(e - s);
-                        segments.push(((s, e), head));
-                        rest = tail;
-                        start = e;
-                    }
-                    debug_assert_eq!(start, block_size as usize);
-                    let rs = &*rs;
-                    let shards = &shards;
-                    pool.run(segments, |_, ((s, e), seg_out)| {
-                        let seg: Vec<(usize, &[u8])> = shards
-                            .iter()
-                            .map(|(r, b)| (*r, &b.as_slice()[s..e]))
-                            .collect();
-                        rs.reconstruct_one(&seg, block.role, seg_out)
-                            // INVARIANT: the shard set was assembled from exactly k live
-                            // roles above; decode only fails with fewer than k.
-                            .expect("k survivors by construction");
-                    });
-                } else {
-                    let borrowed: Vec<(usize, &[u8])> =
-                        shards.iter().map(|(r, b)| (*r, b.as_slice())).collect();
-                    rs.reconstruct_one(&borrowed, block.role, out)
-                        // INVARIANT: the shard set was assembled from exactly k live
-                        // roles above; decode only fails with fewer than k.
-                        .expect("k survivors by construction");
-                }
+                let borrowed: Vec<(usize, &[u8])> =
+                    shards.iter().map(|(r, b)| (*r, b.as_slice())).collect();
+                rs.reconstruct_one(&borrowed, block.role, out)
+                    // INVARIANT: the shard set was assembled from exactly k live
+                    // roles above; decode only fails with fewer than k.
+                    .expect("k survivors by construction");
             }
         }
         // Acked appends still sitting in the dead home's data log are

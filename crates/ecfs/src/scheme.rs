@@ -229,9 +229,7 @@ pub enum ReadServe {
 /// handle for scheduling continuations.
 ///
 /// `Send` is required so a cluster (scheme boxes included) can be moved
-/// onto bench/test worker threads; scheme *methods* always run on the
-/// coordinator — only the byte kernels they invoke fan out through
-/// [`ClusterCore::pool`].
+/// onto bench/test worker threads; each cluster runs on one thread.
 pub trait UpdateScheme: Send {
     /// Scheme name as used in the paper's figures ("FO", "PL", "TSUE", ...).
     fn name(&self) -> &'static str;

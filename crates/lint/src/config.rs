@@ -26,7 +26,7 @@ pub struct Config {
     /// Hard cap on total exemptions (pragmas + allowlist entries).
     pub max_exemptions: usize,
     /// Workspace-relative prefixes of the data-plane crates: the crates
-    /// whose determinism/panic/cast/lock discipline the lint enforces.
+    /// whose determinism/panic/cast discipline the lint enforces.
     pub data_plane: Vec<String>,
     /// When true, `usize`/`u64`/`i64` cast targets are treated as
     /// lossless (the workspace documents a 64-bit-host assumption) and

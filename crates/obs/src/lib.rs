@@ -13,11 +13,9 @@
 //!   device busy time, queue pressure, uplink utilization) sampled on a
 //!   configurable cadence by the scenario harness.
 //!
-//! Everything here is recorded from single-threaded DES coordinator
-//! events keyed by `op_id`, and histograms merge by element-wise
-//! addition folded in a fixed sorted order — so results are bit-identical
-//! at any `--threads` width (the worker pool only parallelizes byte
-//! kernels, never metric recording).
+//! Everything here is recorded from single-threaded DES events keyed by
+//! `op_id`, and histograms merge by element-wise addition folded in a
+//! fixed sorted order — so results are bit-identical from run to run.
 
 #![warn(missing_docs)]
 
@@ -125,7 +123,7 @@ impl Stage {
 
 /// Per-op span bookkeeping: extent arrivals not yet matched with their
 /// service completion. FIFO pairing — OSD scheme callbacks complete
-/// extents in coordinator event order, which is deterministic.
+/// extents in DES event order, which is deterministic.
 #[derive(Debug, Default)]
 struct SpanState {
     arrivals: VecDeque<Time>,

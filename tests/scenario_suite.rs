@@ -94,36 +94,46 @@ fn bundled_scenarios_parse_and_validate() {
     }
 }
 
-/// Golden run: the bundled smoke scenario executes deterministically
-/// under its fixed seed — bit-identical metrics across runs — and the
-/// emitted `{spec, result}` outcome round-trips through JSON.
+/// Golden runs: the bundled smoke and rack-failure scenarios execute
+/// deterministically under their fixed seeds — two runs serialize to
+/// byte-identical `{spec, result}` outcomes — and each outcome
+/// round-trips through JSON.
 #[test]
 fn golden_smoke_scenario_runs_deterministically() {
-    let (path, json) = &bundled_scenarios()[0];
-    assert!(path.ends_with("smoke.json"), "smoke scenario is first");
-    let spec: ScenarioSpec = serde_json::from_str(json).expect("smoke parses");
+    for name in ["smoke.json", "rack_failure_online.json"] {
+        let (_, json) = bundled_scenarios()
+            .iter()
+            .find(|(p, _)| p.ends_with(name))
+            .expect("scenario is bundled");
+        let spec: ScenarioSpec = serde_json::from_str(json).expect("scenario parses");
+        let outcome = |result| ScenarioOutcome {
+            spec: spec.clone(),
+            result,
+        };
 
-    let a = run_scenario(&spec).expect("smoke runs");
-    let b = run_scenario(&spec).expect("smoke reruns");
-    assert!(a.iops > 0.0, "smoke completes ops");
-    assert_eq!(a.k, spec.k);
-    assert_eq!(a.m, spec.m);
-    assert_eq!(a.scheme, "TSUE");
-    assert!(a.flush_s > 0.0, "smoke drains its logs (flush_after)");
-    assert_eq!(a.iops.to_bits(), b.iops.to_bits(), "deterministic IOPS");
-    assert_eq!(a.mean_latency_us.to_bits(), b.mean_latency_us.to_bits());
-    assert_eq!(a.per_second, b.per_second);
-    assert_eq!(a.cache_hits, b.cache_hits);
-    assert_eq!(a.dev.rw_ops, b.dev.rw_ops);
-    assert_eq!(a.mem_peak, b.mem_peak);
+        let a = outcome(run_scenario(&spec).expect("scenario runs"));
+        let b = outcome(run_scenario(&spec).expect("scenario reruns"));
+        assert!(a.result.iops > 0.0, "{name}: completes ops");
+        assert_eq!(a.result.k, spec.k);
+        assert_eq!(a.result.m, spec.m);
+        assert_eq!(a.result.scheme, "TSUE");
+        if spec.flush_after == Some(true) {
+            assert!(a.result.flush_s > 0.0, "{name}: drains its logs");
+        }
+        let text = serde_json::to_string_pretty(&a).expect("outcome serializes");
+        let rerun = serde_json::to_string_pretty(&b).expect("outcome serializes");
+        if text != rerun {
+            let at = text
+                .bytes()
+                .zip(rerun.bytes())
+                .position(|(x, y)| x != y)
+                .unwrap_or(text.len().min(rerun.len()));
+            panic!("{name}: rerun diverged at byte {at}");
+        }
 
-    let outcome = ScenarioOutcome {
-        spec: spec.clone(),
-        result: a,
-    };
-    let text = serde_json::to_string_pretty(&outcome).expect("outcome serializes");
-    let back: ScenarioOutcome = serde_json::from_str(&text).expect("outcome parses");
-    assert_eq!(back.spec, spec, "outcome carries the reproducing spec");
+        let back: ScenarioOutcome = serde_json::from_str(&text).expect("outcome parses");
+        assert_eq!(back.spec, spec, "outcome carries the reproducing spec");
+    }
 }
 
 /// Builds an arbitrary-but-valid spec from drawn primitives
