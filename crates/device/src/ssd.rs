@@ -10,7 +10,6 @@
 //! "SSDs endure 2.5×–13× longer" comparison (§5.3.4).
 
 use crate::{DeviceStats, IoKind, Locality};
-use std::collections::HashMap;
 use tsue_sim::{MultiResource, Time, MICROSECOND, MILLISECOND};
 
 /// Flash page size — the FTL mapping granularity.
@@ -172,12 +171,20 @@ struct GcWork {
 }
 
 /// Page-mapped FTL with greedy (min-valid) garbage collection.
+///
+/// Both directions of the mapping are dense arrays of `index + 1` tags
+/// (0 = none): logical addresses come from the OSD's region allocator,
+/// which hands out space contiguously from offset 0, so the logical table
+/// is as long as the highest page touched, and the physical table is
+/// sized once to the device.
 #[derive(Debug)]
 struct Ftl {
-    /// logical page -> physical page.
-    map: HashMap<u64, u64>,
-    /// physical page -> logical page (for migration).
-    rmap: HashMap<u64, u64>,
+    /// logical page -> physical page + 1 (0 = unmapped); grows on demand.
+    map: Vec<u32>,
+    /// physical page -> logical page + 1 (0 = free), for migration.
+    rmap: Vec<u32>,
+    /// Logical pages currently mapped.
+    live: u64,
     /// Per-block count of valid pages.
     valid: Vec<u16>,
     /// Erased blocks ready for programming.
@@ -191,9 +198,15 @@ struct Ftl {
 
 impl Ftl {
     fn new(blocks: u64) -> Self {
+        let phys_pages = blocks * PAGES_PER_BLOCK;
+        assert!(
+            phys_pages < u64::from(u32::MAX),
+            "SSD model larger than 2^32 flash pages"
+        );
         Ftl {
-            map: HashMap::new(),
-            rmap: HashMap::new(),
+            map: Vec::new(),
+            rmap: vec![0; phys_pages as usize],
+            live: 0,
             valid: vec![0; blocks as usize],
             free_blocks: (1..blocks).rev().collect(),
             active_block: 0,
@@ -208,20 +221,41 @@ impl Ftl {
     /// Panics if the logical footprint exceeds physical capacity (the model
     /// equivalent of a full disk) — size the device to the experiment.
     fn program(&mut self, lpn: u64, stats: &mut DeviceStats) -> GcWork {
+        // INVARIANT: the OSD region allocator packs logical space from
+        // offset 0, and 2^32 pages is 16 TiB, beyond any modelled device.
+        let ltag = u32::try_from(lpn + 1).expect("logical page index fits u32");
+        let slot = lpn as usize;
+        if slot >= self.map.len() {
+            self.map.resize(slot + 1, 0);
+        }
         // Invalidate the previous location, if any.
-        if let Some(old) = self.map.remove(&lpn) {
-            self.rmap.remove(&old);
-            let blk = (old / PAGES_PER_BLOCK) as usize;
-            self.valid[blk] -= 1;
+        let old = std::mem::take(&mut self.map[slot]);
+        if old != 0 {
+            self.unbind(u64::from(old - 1));
         }
         let gc = self.ensure_space(stats);
         let ppn = self.active_block * PAGES_PER_BLOCK + self.active_cursor;
         self.active_cursor += 1;
-        self.map.insert(lpn, ppn);
-        self.rmap.insert(ppn, lpn);
-        self.valid[(ppn / PAGES_PER_BLOCK) as usize] += 1;
+        self.bind(ltag, ppn);
         stats.pages_programmed += 1;
         gc
+    }
+
+    /// Records the logical page tagged `ltag` as living at `ppn`.
+    fn bind(&mut self, ltag: u32, ppn: u64) {
+        // INVARIANT: `ppn` indexes `rmap`, whose length `Ftl::new` checked
+        // is below u32::MAX, so `ppn + 1` fits.
+        self.map[ltag as usize - 1] = u32::try_from(ppn + 1).expect("physical page tag fits u32");
+        self.rmap[ppn as usize] = ltag;
+        self.valid[(ppn / PAGES_PER_BLOCK) as usize] += 1;
+        self.live += 1;
+    }
+
+    /// Frees physical page `ppn` (the caller clears the `map` side).
+    fn unbind(&mut self, ppn: u64) {
+        self.rmap[ppn as usize] = 0;
+        self.valid[(ppn / PAGES_PER_BLOCK) as usize] -= 1;
+        self.live -= 1;
     }
 
     /// Makes sure the active block has a free page, running GC passes as
@@ -235,22 +269,24 @@ impl Ftl {
                 break;
             }
             // Greedy victim: the block (other than active) with fewest
-            // valid pages.
+            // valid pages; the first minimum wins.
             let victim = (0..self.total_blocks)
                 .filter(|&b| b != self.active_block)
                 .min_by_key(|&b| self.valid[b as usize])
+                // INVARIANT: `SsdModel::new` builds at least four blocks,
+                // so some block other than the active one exists.
                 .expect("FTL has at least two blocks");
             assert!(
                 (self.valid[victim as usize] as u64) < PAGES_PER_BLOCK,
                 "FTL capacity exhausted: logical footprint exceeds device size"
             );
             let mut moved = Vec::new();
-            for page in 0..PAGES_PER_BLOCK {
-                let ppn = victim * PAGES_PER_BLOCK + page;
-                if let Some(lpn) = self.rmap.remove(&ppn) {
-                    self.map.remove(&lpn);
-                    self.valid[victim as usize] -= 1;
-                    moved.push(lpn);
+            for ppn in victim * PAGES_PER_BLOCK..(victim + 1) * PAGES_PER_BLOCK {
+                let ltag = self.rmap[ppn as usize];
+                if ltag != 0 {
+                    self.map[ltag as usize - 1] = 0;
+                    self.unbind(ppn);
+                    moved.push(ltag);
                 }
             }
             debug_assert_eq!(self.valid[victim as usize], 0);
@@ -259,12 +295,10 @@ impl Ftl {
             self.active_block = victim;
             self.active_cursor = 0;
             // Re-program survivors into the freshly erased block.
-            for lpn in moved {
+            for ltag in moved {
                 let ppn = self.active_block * PAGES_PER_BLOCK + self.active_cursor;
                 self.active_cursor += 1;
-                self.map.insert(lpn, ppn);
-                self.rmap.insert(ppn, lpn);
-                self.valid[self.active_block as usize] += 1;
+                self.bind(ltag, ppn);
                 stats.pages_programmed += 1;
                 stats.pages_migrated += 1;
                 work.migrated += 1;
@@ -276,7 +310,7 @@ impl Ftl {
     }
 
     fn occupancy(&self) -> f64 {
-        self.map.len() as f64 / (self.total_blocks * PAGES_PER_BLOCK) as f64
+        self.live as f64 / (self.total_blocks * PAGES_PER_BLOCK) as f64
     }
 }
 
@@ -356,14 +390,14 @@ mod tests {
 
     #[test]
     fn mapping_survives_gc() {
-        // After heavy churn, occupancy equals the distinct logical pages.
+        // After heavy churn, the two tables are exact inverses and the
+        // live counter agrees with both the distinct pages and `valid`.
         let mut stats = DeviceStats::default();
         let cap: u64 = 2 << 20;
         let mut ssd = SsdModel::datacenter(cap);
         let pages = cap / PAGE_SIZE; // 512
-        for round in 0..5u64 {
+        for _round in 0..5u64 {
             for p in 0..pages {
-                let _ = round;
                 ssd.submit(
                     0,
                     IoKind::Write,
@@ -374,15 +408,18 @@ mod tests {
                 );
             }
         }
-        let live = ssd.ftl.map.len() as u64;
-        assert_eq!(live, pages);
-        // rmap is the exact inverse of map.
-        for (&lpn, &ppn) in &ssd.ftl.map {
-            assert_eq!(ssd.ftl.rmap.get(&ppn), Some(&lpn));
+        assert!(stats.erase_ops > 0, "the churn must reach GC");
+        let ftl = &ssd.ftl;
+        assert_eq!(ftl.map.len() as u64, pages);
+        for (lpn, &tag) in ftl.map.iter().enumerate() {
+            assert_ne!(tag, 0, "logical page {lpn} lost its mapping");
+            assert_eq!(ftl.rmap[tag as usize - 1] as usize, lpn + 1);
         }
-        // valid counters agree with the mapping.
-        let total_valid: u64 = ssd.ftl.valid.iter().map(|&v| v as u64).sum();
-        assert_eq!(total_valid, live);
+        let mapped_phys = ftl.rmap.iter().filter(|&&t| t != 0).count() as u64;
+        assert_eq!(mapped_phys, pages, "rmap holds no stale entries");
+        assert_eq!(ftl.live, pages);
+        let total_valid: u64 = ftl.valid.iter().map(|&v| u64::from(v)).sum();
+        assert_eq!(total_valid, ftl.live);
     }
 
     #[test]

@@ -290,8 +290,10 @@ impl Cluster {
         );
         if cfg.device_capacity == 0 {
             // Block footprint (data + parity) plus a generous allowance for
-            // scheme log regions, spread over the OSDs. The FTL maps pages
-            // sparsely, so oversizing costs no memory for untouched space.
+            // scheme log regions, spread over the OSDs. The FTL's physical
+            // page table is sized to this capacity (4 bytes per 4 KiB page,
+            // zero-filled, so the OS maps it lazily) while its logical
+            // table grows only to the highest page written.
             let raw = cfg.total_data() as f64
                 * ((cfg.stripe.k + cfg.stripe.m) as f64 / cfg.stripe.k as f64)
                 / cfg.osds as f64;
@@ -719,17 +721,32 @@ pub fn payload_for(op_id: u64, ext: usize, len: usize) -> Vec<u8> {
 
 /// Generates the same deterministic stream directly into `buf` — the
 /// zero-allocation form the client hot path uses with pooled buffers.
+///
+/// The stream is a xorshift64 sequence seeded from `(op_id, ext)`: each
+/// step emits one word as 8 little-endian bytes, and a tail shorter than
+/// a word takes a prefix of the next one. A shorter buffer therefore
+/// receives a prefix of a longer one's stream.
 pub fn payload_into(op_id: u64, ext: usize, buf: &mut [u8]) {
+    // `| 1` keeps the state off xorshift's zero fixed point; doubling
+    // `ext` keeps it clear of that bit, so adjacent extents of one op
+    // get distinct streams.
     let mut x = op_id
         .wrapping_mul(0x9e3779b97f4a7c15)
-        .wrapping_add(ext as u64)
+        .wrapping_add((ext as u64) << 1)
         | 1;
-    for b in buf.iter_mut() {
+    let mut next = || {
         x ^= x << 13;
         x ^= x >> 7;
         x ^= x << 17;
-        *b = (x >> 24) as u8;
+        x.to_le_bytes()
+    };
+    let mut words = buf.chunks_exact_mut(8);
+    for word in &mut words {
+        word.copy_from_slice(&next());
     }
+    let tail = words.into_remainder();
+    let n = tail.len();
+    tail.copy_from_slice(&next()[..n]);
 }
 
 /// Convenience: run a fully-configured cluster for `duration` of virtual
@@ -746,3 +763,46 @@ pub fn run_workload(world: &mut Cluster, sim: &mut Sim<Cluster>, duration: Time)
 /// A tiny latency floor for in-memory operations (index updates, buffer
 /// copies) on the OSD CPU.
 pub const MEM_OP: Time = MICROSECOND;
+
+#[cfg(test)]
+mod tests {
+    use super::payload_for;
+
+    #[test]
+    fn payload_has_exactly_the_requested_length() {
+        for len in (0..=17).chain([4095, 4097]) {
+            assert_eq!(payload_for(7, 3, len).len(), len);
+        }
+    }
+
+    #[test]
+    fn payload_is_prefix_consistent() {
+        let long = payload_for(42, 1, 4097);
+        for n in (0..=17).chain([4095, 4096]) {
+            assert_eq!(payload_for(42, 1, n), long[..n], "prefix of length {n}");
+        }
+    }
+
+    #[test]
+    fn payload_streams_differ_across_op_and_extent() {
+        let seeds = [
+            (0, 0),
+            (0, 1),
+            (1, 0),
+            (1, 1),
+            (2, 0),
+            (2, 1),
+            (u64::MAX, 0),
+            (9, 4),
+        ];
+        let streams: Vec<Vec<u8>> = seeds
+            .iter()
+            .map(|&(op, ext)| payload_for(op, ext, 64))
+            .collect();
+        for i in 0..streams.len() {
+            for j in i + 1..streams.len() {
+                assert_ne!(streams[i], streams[j], "{:?} vs {:?}", seeds[i], seeds[j]);
+            }
+        }
+    }
+}
